@@ -50,11 +50,13 @@ bench-json:
 # on that PR session's container; ns/op baselines only gate honestly
 # when both sides ran on the same machine, so the diff against the
 # previous PR's file is advisory across containers and binding within
-# one. Records new since the baseline are skipped with a notice.
-BASELINE ?= BENCH_PR9.json
+# one. Records new since the baseline are skipped with a notice. The
+# current run goes to the gitignored bench-diff.json, so diffing never
+# overwrites a checked-in baseline.
+BASELINE ?= BENCH_PR10.json
 bench-diff:
-	@echo "Measuring the perf-tracking grid into $(BENCH_JSON) and diffing against $(BASELINE) (fails on >25% ns/op regressions and on allocs/op above the baseline allowance — zero-alloc records must stay zero; workloads new since the baseline are skipped with a notice)..."
-	@$(GO) run ./cmd/oftm-bench -json $(BENCH_JSON) -baseline $(BASELINE)
+	@echo "Measuring the perf-tracking grid into bench-diff.json and diffing against $(BASELINE) (fails on >25% ns/op regressions and on allocs/op above the baseline allowance — zero-alloc records must stay zero; workloads new since the baseline are skipped with a notice)..."
+	@$(GO) run ./cmd/oftm-bench -json bench-diff.json -baseline $(BASELINE)
 
 ########################################
 ### Serving stack (kv + wire server)
@@ -68,7 +70,7 @@ bench-server:
 	@$(GO) test -run '^$$' -bench BenchmarkServer -benchmem -benchtime $(BENCHTIME) ./internal/bench
 
 servebench:
-	@echo "Running experiments E10 (byte wire path vs the preserved PR 3 path), E11 (WAL durability bill), E13 (serving-runtime scaling grid, 2 loadgen procs), E14 (replication follower-read scaling) and E15 (async reply path + slow-reader soak)..."
+	@echo "Running experiments E11 (WAL durability bill), E13 (serving-runtime scaling grid, 2 loadgen procs), E14 (replication follower-read scaling) and E15 (async reply path + slow-reader soak)..."
 	@$(GO) run ./cmd/oftm-bench -servebench
 
 server-scale-smoke:

@@ -8,7 +8,7 @@
 //	oftm-bench -list           # list experiments
 //	oftm-bench -kvsmoke        # brief run of every kv-* workload (CI)
 //	oftm-bench -servebench     # end-to-end loopback server load
-//	                           # (E10 wire path + E11 durability +
+//	                           # (wire path + E11 durability +
 //	                           # E13 runtime scaling grid +
 //	                           # E14 replication follower reads +
 //	                           # E15 async reply path + soak);
@@ -46,7 +46,7 @@ func main() {
 	baseline := flag.String("baseline", "", "previous perf-tracking JSON to diff against (requires -json); exits 1 when any record's ns/op regresses by more than -tolerance")
 	tolerance := flag.Float64("tolerance", 25, "regression tolerance for -baseline, in percent")
 	kvsmoke := flag.Bool("kvsmoke", false, "run every kv-* workload briefly and exit (CI smoke)")
-	servebench := flag.Bool("servebench", false, "run the end-to-end loopback server load (experiments E10, E11 and E13); with -json, write the serving records to that file")
+	servebench := flag.Bool("servebench", false, "run the end-to-end loopback server load (experiments E11, E13, E14 and E15); with -json, write the serving records to that file")
 	procs := flag.Int("procs", 2, "E13: number of loadgen processes driving the scaling grid (1 = in-process; >1 keeps the measured process serving-only, so its req/s-per-core is clean)")
 	scaleConns := flag.String("scale-conns", "", "E13: comma-separated connection grid override (e.g. 8,64 for the CI smoke)")
 	scaleWorkers := flag.Int("scale-workers", 0, "E13: worker count for worker-runtime grid points (0 = server default)")
@@ -66,8 +66,6 @@ func main() {
 	bench.SetScaleOptions(opts)
 
 	if *servebench {
-		bench.E10(os.Stdout)
-		fmt.Println()
 		bench.E11(os.Stdout)
 		fmt.Println()
 		bench.E13(os.Stdout)

@@ -49,7 +49,6 @@ func main() {
 	fsync := flag.String("fsync", "interval", "durability: WAL fsync policy: always|interval|never")
 	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "durability: fsync period for -fsync interval")
 	snapEvery := flag.Duration("snapshot-every", 0, "durability: periodic snapshot+truncate period (0 = off)")
-	snapFull := flag.Bool("snapshot-full", false, "durability: force full-store snapshot images instead of incremental per-shard chains")
 	replicateAddr := flag.String("replicate-addr", "", "replication: serve the WAL record stream to replicas on this address (requires -wal-dir)")
 	replicaOf := flag.String("replica-of", "", "replication: boot as a read-only replica of the primary's -replicate-addr (requires -wal-dir; SIGUSR1 or PROMOTE promotes)")
 	connect := flag.String("connect", "", "client mode: address of a running server to load")
@@ -79,7 +78,6 @@ func main() {
 		Fsync:           *fsync,
 		FsyncInterval:   *fsyncEvery,
 		SnapshotEvery:   *snapEvery,
-		SnapshotFull:    *snapFull,
 		ReplicateAddr:   *replicateAddr,
 		ReplicaOf:       *replicaOf,
 	})

@@ -53,9 +53,8 @@ type jsonCase struct {
 // the run with the median ns/op is recorded. Single runs on the
 // 1-core CI-class runner swing well past the diff gate's 25%
 // tolerance on scheduler- and GC-sensitive rows (oversubscribed
-// bank-8, fsync-bound wal rows, the allocating legacy path), and some
-// of those rows are bimodal — a minimum would record whichever side
-// got lucky. The median is the robust per-row statistic two same-
+// bank-8, fsync-bound wal rows), and some of those rows are bimodal —
+// a minimum would record whichever side got lucky. The median is the robust per-row statistic two same-
 // machine measurements can be diffed on.
 const benchRuns = 3
 
@@ -124,7 +123,7 @@ func WriteJSON(w io.Writer) error {
 		}
 	}
 
-	rep := Report{Note: "ns/op, allocs/op and B/op per engine × workload × threads; epoch/forced_aborts/snapshot_extensions are engine TMStats after the timed run; server-* rows are loopback wire measurements (threads = connections), with -pr3 the preserved legacy request path"}
+	rep := Report{Note: "ns/op, allocs/op and B/op per engine × workload × threads; epoch/forced_aborts/snapshot_extensions are engine TMStats after the timed run; server-* rows are loopback wire measurements (threads = connections)"}
 	for _, c := range cases {
 		c := c
 		rec, err := bestOf(benchRuns, func() (Record, error) { return measure(c) })
@@ -133,7 +132,7 @@ func WriteJSON(w io.Writer) error {
 		}
 		rep.Records = append(rep.Records, rec)
 	}
-	// Serving rows (E10): end-to-end wire path, byte vs PR 3 legacy.
+	// Serving rows: end-to-end wire path.
 	srvRecs, err := serverRecords()
 	if err != nil {
 		return err
@@ -162,9 +161,9 @@ func WriteJSON(w io.Writer) error {
 	return enc.Encode(rep)
 }
 
-// WriteServerJSON measures only the serving rows (the E10 and E11
-// records) and writes them as a report — the fast path behind
-// `oftm-bench -servebench -json`.
+// WriteServerJSON measures only the serving rows (the server-mixed,
+// E11, E13 and E14 records) and writes them as a report — the fast
+// path behind `oftm-bench -servebench -json`.
 func WriteServerJSON(w io.Writer) error {
 	recs, err := serverRecords()
 	if err != nil {
@@ -186,7 +185,7 @@ func WriteServerJSON(w io.Writer) error {
 	}
 	recs = append(recs, rRecs...)
 	rep := Report{
-		Note:    "experiments E10/E11/E13/E14: loopback wire-path records (threads = connections); server-*-pr3 rows measure the preserved PR 3 legacy request path, server-*-wal-* rows the durability layer, server-scale-* rows the serving-runtime connection grid, server-repl-reads-r* rows the replication topology's aggregate read capacity (sequential per-node phases summed; 1-core container)",
+		Note:    "experiments E11/E13/E14: loopback wire-path records (threads = connections); server-mixed-* rows measure the wire path, server-*-wal-* rows the durability layer, server-scale-* rows the serving-runtime connection grid, server-repl-reads-r* rows the replication topology's aggregate read capacity (sequential per-node phases summed; 1-core container)",
 		Records: recs,
 	}
 	enc := json.NewEncoder(w)

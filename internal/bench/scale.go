@@ -1,12 +1,13 @@
 package bench
 
-// Experiment E13: connection scaling of the serving runtimes. E10/E11
-// measured a single 8-connection point; E13 extends that into a grid —
-// {8, 64, 256, 1024} connections × shard count × fsync policy — and
-// runs it against both serving runtimes (the PR 7 shard-affine worker
-// loops and the goroutine-per-connection baseline), so the speedup and
-// the zero-allocation property are measured where they matter: past
-// the point where goroutine-per-connection scheduling starts to bill.
+// Experiment E13: connection scaling of the serving runtimes. The
+// server-mixed rows and E11 measure a single 8-connection point; E13
+// extends that into a grid — {8, 64, 256, 1024} connections × shard
+// count × fsync policy — and runs it against both serving runtimes
+// (the shard-affine worker loops and the goroutine-per-connection
+// baseline), so the speedup and the zero-allocation property are
+// measured where they matter: past the point where
+// goroutine-per-connection scheduling starts to bill.
 //
 // The load can be driven by separate loadgen processes (`oftm-bench
 // -servebench -procs P`) so the in-process client never bottlenecks or
@@ -93,7 +94,8 @@ func SetScaleOptions(o ScaleOptions) {
 // engine measured well, not five measured noisily.
 const scaleEngine = "nztm"
 
-// scalePipeline is the per-window pipelining depth, matching E10/E11.
+// scalePipeline is the per-window pipelining depth, matching the
+// server-mixed rows and E11.
 const scalePipeline = 32
 
 // scaleGrid is the measurement plan: the full connection × fsync grid

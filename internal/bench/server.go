@@ -1,20 +1,16 @@
 package bench
 
-// End-to-end serving-stack measurement (experiment E10): closed-loop
-// pipelined load over loopback TCP against internal/server, with a
-// deliberately allocation-free load generator — request windows are
-// built once and replayed, responses are drained into a fixed buffer
-// and only counted — so the process-wide allocation delta during the
-// measured phase is the server+kv request path's, which is exactly the
-// figure the zero-allocation rewrite is gated on. The same harness
-// drives both the byte path and the preserved PR 3 legacy path
-// (server.Config.Legacy), so the speedup claim is re-measured on every
-// run instead of decaying into a stale constant.
+// End-to-end serving-stack measurement: closed-loop pipelined load
+// over loopback TCP against internal/server, with a deliberately
+// allocation-free load generator — request windows are built once and
+// replayed, responses are drained into a fixed buffer and only counted
+// — so the process-wide allocation delta during the measured phase is
+// the server+kv request path's, which is exactly the figure the
+// zero-allocation request path is gated on.
 
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -42,7 +38,7 @@ var (
 // ServerResult is one loopback serving measurement.
 type ServerResult struct {
 	Engine   string
-	Path     string // "byte" (the PR 4 request path) or "legacy" (PR 3)
+	Path     string // configuration label: "byte" (plain wire path), "wal-always", ...
 	Conns    int
 	Pipeline int
 	Reqs     int64
@@ -215,14 +211,13 @@ func firstErrLine(b []byte) []byte {
 
 // startLoadServer builds, listens and serves a store pre-populated
 // with the load key space. Callers must Close the returned server.
-// The runtime is pinned to goroutine-per-connection: the E10/E11 rows
-// predate the worker runtime and are diffed against baselines recorded
-// on it, so the perf time series keeps measuring the wire path and the
-// durability bill — E13 owns the runtime dimension.
-func startLoadServer(engine string, legacy bool) (*server.Server, []string, error) {
+// The runtime is pinned to goroutine-per-connection: the server-mixed
+// and E11 rows predate the worker runtime and are diffed against
+// baselines recorded on it, so the perf time series keeps measuring the
+// wire path and the durability bill — E13 owns the runtime dimension.
+func startLoadServer(engine string) (*server.Server, []string, error) {
 	return startLoadServerCfg(server.Config{
 		Engine:  engine,
-		Legacy:  legacy,
 		Runtime: "goroutine",
 	})
 }
@@ -261,15 +256,11 @@ func startLoadServerCfg(cfg server.Config) (*server.Server, []string, error) {
 // RunServerLoad measures a closed-loop mixed load (75% GET / 20% SET /
 // 5% CAS) against an in-process server on the given engine: conns
 // connections, each replaying pipelined windows of pipeline requests,
-// windows times. legacy selects the preserved PR 3 request path. The
-// allocation figures cover only the measured phase (after per-
-// connection warmup and a GC fence).
-func RunServerLoad(engine string, legacy bool, conns, pipeline, windows int) (ServerResult, error) {
+// windows times. The allocation figures cover only the measured phase
+// (after per-connection warmup and a GC fence).
+func RunServerLoad(engine string, conns, pipeline, windows int) (ServerResult, error) {
 	res := ServerResult{Engine: engine, Path: "byte", Conns: conns, Pipeline: pipeline}
-	if legacy {
-		res.Path = "legacy"
-	}
-	srv, keys, err := startLoadServer(engine, legacy)
+	srv, keys, err := startLoadServer(engine)
 	if err != nil {
 		return res, err
 	}
@@ -277,8 +268,8 @@ func RunServerLoad(engine string, legacy bool, conns, pipeline, windows int) (Se
 }
 
 // measureLoad drives the warmed, GC-fenced measurement phase against a
-// started server and closes it. Shared by the plain (E10) and WAL
-// (E11) measurements.
+// started server and closes it. Shared by the plain and WAL (E11)
+// measurements.
 func measureLoad(srv *server.Server, keys []string, res ServerResult, conns, pipeline, windows int) (ServerResult, error) {
 	defer srv.Close()
 
@@ -335,75 +326,36 @@ func measureLoad(srv *server.Server, keys []string, res ServerResult, conns, pip
 	return res, nil
 }
 
-// E10 measures the wire-path rewrite end to end: loopback req/s and
-// allocs/req at 8 pipelined connections, byte path vs the preserved
-// PR 3 legacy path, per engine. The speedup column is the acceptance
-// figure (≥ 1.5x on at least one engine).
-func E10(w io.Writer) {
-	const conns, pipeline, windows = 8, 32, 1200
-	t := NewTable(fmt.Sprintf("Experiment E10 — wire path rewrite, loopback load (%d conns x pipeline %d)", conns, pipeline),
-		"engine", "pr3 req/s", "pr3 allocs/req", "byte req/s", "byte allocs/req", "speedup")
-	for _, e := range []string{"dstm", "nztm", "coarse"} {
-		legacy, err := RunServerLoad(e, true, conns, pipeline, windows)
-		if err != nil {
-			fmt.Fprintf(w, "E10 %s legacy: %v\n", e, err)
-			continue
-		}
-		fresh, err := RunServerLoad(e, false, conns, pipeline, windows)
-		if err != nil {
-			fmt.Fprintf(w, "E10 %s byte: %v\n", e, err)
-			continue
-		}
-		t.Add(e,
-			fmt.Sprintf("%.0f", legacy.ReqsPerSec()), fmt.Sprintf("%.2f", legacy.AllocsPerReq),
-			fmt.Sprintf("%.0f", fresh.ReqsPerSec()), fmt.Sprintf("%.2f", fresh.AllocsPerReq),
-			fmt.Sprintf("%.2fx", fresh.ReqsPerSec()/legacy.ReqsPerSec()))
-	}
-	fmt.Fprint(w, t.String())
-	fmt.Fprintln(w, "The load generator replays pre-built request windows and is allocation-free in the")
-	fmt.Fprintln(w, "steady state, so allocs/req is the server+kv request path's own footprint.")
-}
-
-// serverRecords measures the perf-tracking serving rows: byte path and
-// PR 3 legacy path at 8 connections, on the engines the serving
-// experiments track. The pair makes the rewrite's speedup part of the
-// recorded trajectory, and the byte rows' allocs/op lock in the
-// zero-allocation property through the bench-diff gate.
+// serverRecords measures the perf-tracking serving rows: the wire path
+// at 8 connections, on the engines the serving experiments track. The
+// rows' allocs/op lock in the zero-allocation property through the
+// bench-diff gate.
 func serverRecords() ([]Record, error) {
-	// windows is sized so one measurement lasts ~1s even on the fastest
-	// path: at 800 the allocating legacy rows finished in ~0.2s and GC
-	// cycle alignment alone moved them past the diff gate's tolerance.
+	// windows is sized so one measurement lasts about a second: shorter
+	// runs let GC cycle alignment alone move a row past the diff gate's
+	// tolerance.
 	const conns, pipeline, windows = 8, 32, 3200
 	var recs []Record
 	for _, e := range []string{"dstm", "nztm", "coarse"} {
-		for _, p := range []struct {
-			workload string
-			legacy   bool
-		}{
-			{"server-mixed-c8", false},
-			{"server-mixed-c8-pr3", true},
-		} {
-			e, p := e, p
-			rec, err := bestOf(benchRuns, func() (Record, error) {
-				r, err := RunServerLoad(e, p.legacy, conns, pipeline, windows)
-				if err != nil {
-					return Record{}, fmt.Errorf("bench: %s/%s: %w", e, p.workload, err)
-				}
-				return Record{
-					Engine:      e,
-					Workload:    p.workload,
-					Threads:     conns,
-					NsPerOp:     float64(r.Elapsed.Nanoseconds()) / float64(r.Reqs),
-					AllocsPerOp: int64(r.AllocsPerReq + 0.5),
-					BytesPerOp:  int64(r.BytesPerReq + 0.5),
-					OpsPerSec:   r.ReqsPerSec(),
-				}, nil
-			})
+		rec, err := bestOf(benchRuns, func() (Record, error) {
+			r, err := RunServerLoad(e, conns, pipeline, windows)
 			if err != nil {
-				return nil, err
+				return Record{}, fmt.Errorf("bench: %s/server-mixed-c8: %w", e, err)
 			}
-			recs = append(recs, rec)
+			return Record{
+				Engine:      e,
+				Workload:    "server-mixed-c8",
+				Threads:     conns,
+				NsPerOp:     float64(r.Elapsed.Nanoseconds()) / float64(r.Reqs),
+				AllocsPerOp: int64(r.AllocsPerReq + 0.5),
+				BytesPerOp:  int64(r.BytesPerReq + 0.5),
+				OpsPerSec:   r.ReqsPerSec(),
+			}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
+		recs = append(recs, rec)
 	}
 	return recs, nil
 }

@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: engine registry, workload
-// generators, throughput runners and the E1–E11 experiment suite
-// mapped in DESIGN.md — the paper experiments (E1–E8), the serving
-// stack (E9), the wire path (E10) and the durability layer (E11) —
-// plus the JSON perf-tracking grid and its regression gate.
+// generators, throughput runners and the experiment suite mapped in
+// DESIGN.md — the paper experiments (E1–E8), the serving stack (E9),
+// the durability layer (E11), serving-runtime scaling (E13–E15) and
+// recovery (E16) — plus the JSON perf-tracking grid and its regression
+// gate.
 // cmd/oftm-bench regenerates every experiment table from here; the
 // root bench_test.go exposes the performance experiments as testing.B
 // benchmarks.

@@ -1,7 +1,8 @@
 package bench
 
 // Experiment E11: the cost of durability. The same closed-loop mixed
-// load as E10 (8 pipelined connections over loopback) against servers
+// load as the server-mixed rows (8 pipelined connections over loopback)
+// against servers
 // whose only difference is the WAL configuration — off, group commit
 // with interval fsync, group commit with fsync-per-batch — so the
 // req/s and allocs/req deltas are the durability layer's own bill.

@@ -18,8 +18,8 @@ import (
 // shard, a tail of further writes lands past the cut, and the directory
 // is recovered into a fresh store (import). Re-imaging the fresh
 // store's full state must produce bytes identical to imaging the live
-// store directly — wal.SnapshotImage is canonical, and nothing is lost
-// or invented across chain export → recover → import.
+// store directly — wal.ShardImage is canonical (key-sorted, CRC'd), and
+// nothing is lost or invented across chain export → recover → import.
 func ImportExport(seed int64, engine string, cfg Config) error {
 	cfg.fill()
 	dir, err := os.MkdirTemp("", "campaign-ie-*")
@@ -113,14 +113,14 @@ func ImportExport(seed int64, engine string, cfg Config) error {
 		return violationf(seed, engine, "import-export", "import: %v", err)
 	}
 
-	// Canonicality: a full image of the imported store must be
-	// byte-identical to a full image of the live store at the same cut.
+	// Canonicality: an image of the imported store's whole state must be
+	// byte-identical to one of the live store's at the same cut.
 	freshPairs, err := fresh.Dump(nil)
 	if err != nil {
 		return violationf(seed, engine, "import-export", "dump fresh: %v", err)
 	}
-	exported := wal.SnapshotImage(recd.LastSeq, livePairs)
-	reexported := wal.SnapshotImage(recd.LastSeq, freshPairs)
+	exported := wal.ShardImage(recd.LastSeq, 0, livePairs)
+	reexported := wal.ShardImage(recd.LastSeq, 0, freshPairs)
 	if !bytes.Equal(exported, reexported) {
 		return violationf(seed, engine, "import-export",
 			"round-trip bytes differ: direct image %d bytes, chain-imported image %d bytes", len(exported), len(reexported))

@@ -7,7 +7,7 @@
 // to OS, whose methods forward to os.* with no wrapping and no
 // allocation, so the no-injector hot path costs one interface dispatch
 // on an *os.File method (the same machine instruction count as before;
-// the E10/E11 allocation gates hold). Tests and the crash campaign wrap
+// the serving allocation gates hold). Tests and the crash campaign wrap
 // OS in an Injector to deliver short writes, EIO, ENOSPC, and power-loss
 // crash points at a position chosen deterministically from a seed.
 package faultfs

@@ -62,7 +62,8 @@ const (
 	// FileSync fires on a Sync call (segment fsync, snapshot fsync, or
 	// directory fsync).
 	FileSync
-	// SnapshotWrite fires on WriteFile — the snapshot temp file.
+	// SnapshotWrite fires on WriteFile — a shard image or the manifest
+	// temp file.
 	SnapshotWrite
 )
 

@@ -14,7 +14,7 @@
 //
 //	stream (primary -> follower), length-prefixed messages:
 //	    [1] type  [4] payload length  [payload]
-//	    'S'  payload = snapshot file image (wal snapshot format);
+//	    'S'  payload = snapshot chain bundle (wal OFBNDL1 format);
 //	         sent when the follower's cursor precedes the oldest
 //	         retained segment. The stream resumes at cut+1.
 //	    'R'  payload = [8] primary durable seq, then zero or more WAL

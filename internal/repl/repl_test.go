@@ -115,6 +115,19 @@ func TestCatchUpAndLiveStream(t *testing.T) {
 	}
 }
 
+// mapSource is a one-shard wal.SnapshotSource over a plain map.
+type mapSource map[string]uint64
+
+func (m mapSource) Shards() int                 { return 1 }
+func (m mapSource) DirtyEpochLocked(int) uint64 { return 0 }
+func (m mapSource) DumpShard(int) ([]kv.Pair, error) {
+	ps := make([]kv.Pair, 0, len(m))
+	for k, v := range m {
+		ps = append(ps, kv.Pair{Key: k, Val: v})
+	}
+	return ps, nil
+}
+
 // TestSnapshotBootstrap joins a replica whose cursor precedes the
 // primary's truncated history: bootstrap must come from the snapshot.
 func TestSnapshotBootstrap(t *testing.T) {
@@ -130,14 +143,8 @@ func TestSnapshotBootstrap(t *testing.T) {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	if err := l.WriteSnapshot(func() ([]kv.Pair, error) {
-		var ps []kv.Pair
-		for k, v := range state {
-			ps = append(ps, kv.Pair{Key: k, Val: v})
-		}
-		return ps, nil
-	}); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := l.WriteSnapshotInc(mapSource(state)); err != nil {
+		t.Fatalf("WriteSnapshotInc: %v", err)
 	}
 
 	r, store := connectReplica(t, p, t.TempDir())

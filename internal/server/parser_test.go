@@ -1,9 +1,9 @@
 package server
 
 // Equivalence of the byte-level request parser against the retired
-// PR 3 string parser (parseOpLegacy, kept in legacy.go as the living
-// reference implementation that the legacy wire path still runs for
-// experiment E10). The byte tokenizer/parser must accept and reject
+// string parser (parseOpLegacy, kept below verbatim as the living
+// reference implementation the equivalence test and FuzzParseOp
+// compare against). The byte tokenizer/parser must accept and reject
 // exactly the same request language — same tokens, same ops, same
 // arity and ParseUint edge behavior, and (for ASCII requests) the same
 // error text. One documented divergence exists: the legacy parser
@@ -13,6 +13,8 @@ package server
 // comparisons skip non-ASCII verb tokens.
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -193,4 +195,71 @@ func TestParseUint(t *testing.T) {
 			t.Fatalf("parseUint(%q) = (%d, %v), want (%d, %v)", c.in, got, ok, c.want, c.ok)
 		}
 	}
+}
+
+// parseOpLegacy parses a single-key request into a kv.Op — the retired
+// string parser, the reference the byte parser (parseOp) is proved
+// equivalent to by TestParseOpEquivalence and FuzzParseOp.
+func parseOpLegacy(verb string, args []string) (kv.Op, error) {
+	key := func(i int) (string, error) {
+		if i >= len(args) {
+			return "", fmt.Errorf("%s: missing key", verb)
+		}
+		return args[i], nil
+	}
+	num := func(i int) (uint64, error) {
+		if i >= len(args) {
+			return 0, fmt.Errorf("%s: missing numeric argument", verb)
+		}
+		v, err := strconv.ParseUint(args[i], 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("%s: bad number %q", verb, args[i])
+		}
+		return v, nil
+	}
+	arity := func(n int) error {
+		if len(args) != n {
+			return fmt.Errorf("%s: want %d argument(s), got %d", verb, n, len(args))
+		}
+		return nil
+	}
+	switch verb {
+	case "GET":
+		if err := arity(1); err != nil {
+			return kv.Op{}, err
+		}
+		k, err := key(0)
+		return kv.Op{Kind: kv.OpGet, Key: k}, err
+	case "SET":
+		if err := arity(2); err != nil {
+			return kv.Op{}, err
+		}
+		k, err := key(0)
+		if err != nil {
+			return kv.Op{}, err
+		}
+		v, err := num(1)
+		return kv.Op{Kind: kv.OpPut, Key: k, Val: v}, err
+	case "DEL":
+		if err := arity(1); err != nil {
+			return kv.Op{}, err
+		}
+		k, err := key(0)
+		return kv.Op{Kind: kv.OpDelete, Key: k}, err
+	case "CAS":
+		if err := arity(3); err != nil {
+			return kv.Op{}, err
+		}
+		k, err := key(0)
+		if err != nil {
+			return kv.Op{}, err
+		}
+		old, err := num(1)
+		if err != nil {
+			return kv.Op{}, err
+		}
+		v, err := num(2)
+		return kv.Op{Kind: kv.OpCAS, Key: k, Old: old, Val: v}, err
+	}
+	return kv.Op{}, fmt.Errorf("unknown command %q", verb)
 }

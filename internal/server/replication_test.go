@@ -384,8 +384,8 @@ func TestReplicaBootstrapIncremental(t *testing.T) {
 	repl := startServer(t, Config{Engine: "nztm", WALDir: rdir, ReplicaOf: replAddr,
 		SnapshotEvery: 25 * time.Millisecond})
 
-	// The bootstrap installed a chain, not a legacy image: the replica's
-	// own log dir holds a manifest plus shard images.
+	// The bootstrap installed a chain: the replica's own log dir holds a
+	// manifest plus shard images.
 	ents, err := os.ReadDir(rdir)
 	if err != nil {
 		t.Fatalf("ReadDir(%s): %v", rdir, err)

@@ -1,9 +1,9 @@
 package wal
 
-// Chained incremental snapshots. A full-store snapshot (snap-*.snap)
-// costs O(store) per cut and recovery O(store + tail); at the 10M-key
-// production scale the ROADMAP targets, both are wrong. The chain
-// format makes the cut cost proportional to the *dirty set* instead:
+// Chained incremental snapshots. A whole-store snapshot image costs
+// O(store) per cut and recovery O(store + tail); at 10M keys both are
+// wrong. The chain format makes the cut cost proportional to the
+// *dirty set* instead:
 //
 //   - Each cut writes one per-shard image file (shard-<cut>-<idx>.shard)
 //     for every shard dirtied since the previous cut, then one manifest
@@ -11,8 +11,8 @@ package wal
 //     image or the still-valid image of an earlier cut. Clean shards are
 //     linked, not re-dumped.
 //   - Recovery loads the newest manifest whose referenced images all
-//     decode (falling back to older manifests, then to legacy full
-//     snapshots), and replays only the log tail past the manifest cut.
+//     decode (falling back to older manifests), and replays only the
+//     log tail past the manifest cut.
 //   - Truncation keeps exactly the newest manifest's files and the
 //     segments past its cut, so disk and recovery time stay bounded by
 //     dirty-set size + tail length regardless of store size.
@@ -35,7 +35,8 @@ package wal
 // intern handles, and intern order is not stable across recovery, so
 // an image written by an earlier process may partition keys differently.
 // The first cut after Open or InstallSnapshot is always a full cut
-// (every shard dumped), after which incremental linking resumes.
+// (every shard dumped, as if every shard were dirty), after which
+// incremental linking resumes.
 //
 // On-disk formats (little-endian, like record.go):
 //
@@ -71,9 +72,9 @@ package wal
 //	[4]  IEEE CRC32 of everything after the magic
 //
 // A bundle packages a manifest plus its images so the one-blob
-// replication snapshot protocol ('S' message) carries a chain without
-// wire changes; DecodeSnapshot and InstallSnapshot dispatch on the
-// magic and accept both bundles and legacy single images.
+// replication snapshot protocol ('S' message) carries a chain. The
+// whole-store image payload of earlier releases (magic "OFSNAP1\n")
+// is refused by name rather than reported as a corrupt bundle.
 
 import (
 	"encoding/binary"
@@ -92,6 +93,9 @@ const (
 	shardMagic  = "OFSHRD1\n"
 	maniMagic   = "OFMANI1\n"
 	bundleMagic = "OFBNDL1\n"
+	// legacySnapMagic opens a whole-store snapshot image of an earlier
+	// release; only decodeBundle's refusal reads it.
+	legacySnapMagic = "OFSNAP1\n"
 )
 
 // SnapshotSource supplies the incremental snapshot writer with dirty
@@ -159,12 +163,8 @@ func parseShardImageName(name string) (cut uint64, shard int, ok bool) {
 }
 
 // isSnapshotArtifact reports whether name is any snapshot file the
-// truncation passes manage: a legacy full image, a manifest, or a
-// per-shard image.
+// truncation passes manage: a manifest or a per-shard image.
 func isSnapshotArtifact(name string) bool {
-	if _, ok := parseSnapName(name); ok {
-		return true
-	}
 	if _, ok := parseManifestName(name); ok {
 		return true
 	}
@@ -452,8 +452,8 @@ func (l *Log) truncateTo(cut uint64, keep map[string]bool) {
 	l.cleanSnapshotFiles(keep)
 }
 
-// cleanSnapshotFiles removes snapshot artifacts (legacy images,
-// manifests, shard images) not named in keep.
+// cleanSnapshotFiles removes snapshot artifacts (manifests, shard
+// images) not named in keep.
 func (l *Log) cleanSnapshotFiles(keep map[string]bool) {
 	ents, err := l.opts.FS.ReadDir(l.opts.Dir)
 	if err != nil {
@@ -501,12 +501,6 @@ func loadChain(fsys faultfs.FS, dir string, cut uint64) (base []ShardBase, err e
 	return base, nil
 }
 
-// isBundle reports whether a snapshot payload is a chain bundle rather
-// than a legacy full image.
-func isBundle(img []byte) bool {
-	return len(img) >= len(bundleMagic) && string(img[:len(bundleMagic)]) == bundleMagic
-}
-
 // bundleFile is one named blob of a snapshot bundle.
 type bundleFile struct {
 	name string
@@ -534,6 +528,9 @@ func encodeBundle(cut uint64, files []bundleFile) []byte {
 
 // decodeBundle parses a bundle payload.
 func decodeBundle(b []byte) (cut uint64, files []bundleFile, err error) {
+	if len(b) >= len(legacySnapMagic) && string(b[:len(legacySnapMagic)]) == legacySnapMagic {
+		return 0, nil, fmt.Errorf("wal: payload is a whole-store snapshot image, a format no longer read; the sender must ship a chain bundle")
+	}
 	if len(b) < len(bundleMagic)+16 || string(b[:len(bundleMagic)]) != bundleMagic {
 		return 0, nil, fmt.Errorf("wal: not a snapshot bundle")
 	}

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -70,7 +72,7 @@ func (f *fakeSource) merged() map[string]uint64 {
 	return m
 }
 
-func listSnapshotFiles(t *testing.T, dir string) (manifests, images, snaps []string) {
+func listSnapshotFiles(t *testing.T, dir string) (manifests, images []string) {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -83,8 +85,6 @@ func listSnapshotFiles(t *testing.T, dir string) (manifests, images, snaps []str
 			manifests = append(manifests, name)
 		case strings.HasSuffix(name, ".shard"):
 			images = append(images, name)
-		case strings.HasSuffix(name, ".snap"):
-			snaps = append(snaps, name)
 		}
 	}
 	return
@@ -126,9 +126,9 @@ func TestIncrementalCutDumpsOnlyDirtyShards(t *testing.T) {
 
 	// Exactly one manifest; shard 2's image is at the new cut, the other
 	// three still link to the full cut's images.
-	manifests, images, snaps := listSnapshotFiles(t, dir)
-	if len(manifests) != 1 || len(snaps) != 0 {
-		t.Fatalf("after cuts: manifests=%v snaps=%v", manifests, snaps)
+	manifests, images := listSnapshotFiles(t, dir)
+	if len(manifests) != 1 {
+		t.Fatalf("after cuts: manifests=%v", manifests)
 	}
 	if len(images) != 4 {
 		t.Fatalf("kept %d shard images %v, want 4", len(images), images)
@@ -223,7 +223,7 @@ func TestBrokenChainRefusedLoudly(t *testing.T) {
 	// image from the first cut). The chain must be poisoned whole: with
 	// the covered segments already truncated, recovery refuses rather
 	// than serving a partial chain.
-	_, images, _ := listSnapshotFiles(t, dir)
+	_, images := listSnapshotFiles(t, dir)
 	corrupted := false
 	for _, img := range images {
 		if cut, _, _ := parseShardImageName(img); cut == 3 {
@@ -278,42 +278,6 @@ func TestManifestTmpLeftoverRemoved(t *testing.T) {
 	}
 }
 
-func TestLegacyThenIncrementalCut(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{Policy: SyncNever})
-	src := newFakeSource(2)
-	src.apply(t, l, 0, []kv.Effect{put("a", 1)})
-	dump := func() ([]kv.Pair, error) {
-		var pairs []kv.Pair
-		for _, sh := range src.shards {
-			for k, v := range sh {
-				pairs = append(pairs, kv.Pair{Key: k, Val: v})
-			}
-		}
-		return pairs, nil
-	}
-	if err := l.WriteSnapshot(dump); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	src.apply(t, l, 1, []kv.Effect{put("b", 2)})
-	// The incremental cut supersedes the legacy snapshot (full, since no
-	// chain base exists) and removes it.
-	if err := l.WriteSnapshotInc(src); err != nil {
-		t.Fatalf("WriteSnapshotInc: %v", err)
-	}
-	manifests, images, snaps := listSnapshotFiles(t, dir)
-	if len(manifests) != 1 || len(images) != 2 || len(snaps) != 0 {
-		t.Fatalf("manifests=%v images=%v snaps=%v, want 1/2/0", manifests, images, snaps)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	_, rec := openT(t, dir, Options{})
-	if got := rec.Merged(); !reflect.DeepEqual(got, map[string]uint64{"a": 1, "b": 2}) {
-		t.Fatalf("recovered %v", got)
-	}
-}
-
 func TestChainBundleShipAndInstall(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Policy: SyncNever})
@@ -336,7 +300,7 @@ func TestChainBundleShipAndInstall(t *testing.T) {
 	if cut != 4 {
 		t.Fatalf("NewestSnapshot cut = %d, want 4", cut)
 	}
-	if !isBundle(img) {
+	if !strings.HasPrefix(string(img), bundleMagic) {
 		t.Fatalf("chain did not ship as a bundle")
 	}
 	dcut, state, err := DecodeSnapshot(img)
@@ -383,5 +347,70 @@ func TestChainBundleShipAndInstall(t *testing.T) {
 	}
 	if rec3.LastSeq != cut+1 {
 		t.Fatalf("live install LastSeq = %d, want %d", rec3.LastSeq, cut+1)
+	}
+}
+
+// testBundle renders a one-shard chain bundle at cut holding pairs, the
+// payload a primary ships for that state.
+func testBundle(cut uint64, pairs []kv.Pair) []byte {
+	return encodeBundle(cut, []bundleFile{
+		{name: manifestName(cut), data: encodeManifest(cut, []uint64{cut})},
+		{name: shardImageName(cut, 0), data: ShardImage(cut, 0, pairs)},
+	})
+}
+
+// legacySnapImage renders a whole-store snapshot image in the format of
+// earlier releases: magic, cut, entry count, uvarint entries, CRC.
+func legacySnapImage(cut uint64, pairs []kv.Pair) []byte {
+	p := []byte(legacySnapMagic)
+	p = binary.LittleEndian.AppendUint64(p, cut)
+	p = binary.LittleEndian.AppendUint64(p, uint64(len(pairs)))
+	for _, e := range pairs {
+		p = binary.AppendUvarint(p, uint64(len(e.Key)))
+		p = append(p, e.Key...)
+		p = binary.AppendUvarint(p, e.Val)
+	}
+	return binary.LittleEndian.AppendUint32(p, crc32.ChecksumIEEE(p[len(legacySnapMagic):]))
+}
+
+// TestOpenRefusesLegacySnapshotFile pins the refusal of a directory
+// holding a whole-store snap-*.snap image: recovering without it would
+// come up empty, silently dropping every key the image held.
+func TestOpenRefusesLegacySnapshotFile(t *testing.T) {
+	dir := t.TempDir()
+	name := "snap-00000000000000000005.snap"
+	img := legacySnapImage(5, []kv.Pair{{Key: "a", Val: 1}})
+	if err := os.WriteFile(filepath.Join(dir, name), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, rec, err := Open(Options{Dir: dir})
+	if err == nil {
+		l.Close()
+		t.Fatalf("Open recovered %d keys from a directory whose only snapshot is %s", rec.Keys, name)
+	}
+	if !strings.Contains(err.Error(), name) {
+		t.Fatalf("Open error %q does not name %s", err, name)
+	}
+}
+
+// TestLegacySnapshotPayloadRefused pins that a whole-store image shipped
+// as a snapshot payload is refused by name on every install and decode
+// path, not misreported as a corrupt bundle.
+func TestLegacySnapshotPayloadRefused(t *testing.T) {
+	img := legacySnapImage(100, []kv.Pair{{Key: "a", Val: 1}})
+	const want = "whole-store snapshot image"
+	if _, _, err := DecodeSnapshot(img); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("DecodeSnapshot = %v, want a %q refusal", err, want)
+	}
+	if _, err := InstallSnapshotImage(nil, t.TempDir(), img); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("InstallSnapshotImage = %v, want a %q refusal", err, want)
+	}
+	l, _ := openT(t, t.TempDir(), Options{Policy: SyncNever})
+	defer l.Close()
+	if _, err := l.InstallSnapshot(img); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("InstallSnapshot = %v, want a %q refusal", err, want)
+	}
+	if l.LastSeq() != 0 {
+		t.Fatalf("refused install moved the log to seq %d", l.LastSeq())
 	}
 }

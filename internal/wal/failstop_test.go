@@ -161,8 +161,10 @@ func TestRecoveryUnderDiskFaults(t *testing.T) {
 			segBytes: 1 << 20, snapshotAt: -1, wantLatch: true,
 		},
 		{
+			// The one-shard cut writes its image, then the manifest temp
+			// file; After: 1 tears the manifest temp file.
 			name:     "torn snapshot temp file",
-			plan:     faultfs.Plan{Kind: faultfs.ShortWrite, Target: faultfs.SnapshotWrite, After: 0, Cut: 0.6},
+			plan:     faultfs.Plan{Kind: faultfs.ShortWrite, Target: faultfs.SnapshotWrite, After: 1, Cut: 0.6},
 			segBytes: 1 << 20, snapshotAt: 10, wantLatch: false,
 		},
 	}
@@ -196,14 +198,9 @@ func TestRecoveryUnderDiskFaults(t *testing.T) {
 					faulted = true
 				}
 				if i == tc.snapshotAt {
-					ref := replayRef(batches[:acked]...)
-					if err := l.WriteSnapshot(func() ([]kv.Pair, error) {
-						var ps []kv.Pair
-						for k, v := range ref {
-							ps = append(ps, kv.Pair{Key: k, Val: v})
-						}
-						return ps, nil
-					}); err != nil {
+					src := newFakeSource(1)
+					src.shards[0] = replayRef(batches[:acked]...)
+					if err := l.WriteSnapshotInc(src); err != nil {
 						snapErr = true
 					}
 				}
@@ -223,7 +220,7 @@ func TestRecoveryUnderDiskFaults(t *testing.T) {
 					t.Fatal("non-latching fault failed an append")
 				}
 				if tc.snapshotAt >= 0 && !snapErr {
-					t.Fatal("snapshot fault did not surface in WriteSnapshot")
+					t.Fatal("snapshot fault did not surface in WriteSnapshotInc")
 				}
 			}
 			l.Close()
@@ -242,9 +239,10 @@ func TestRecoveryUnderDiskFaults(t *testing.T) {
 					}
 				}
 			}
-			k, ok := matchPrefix(rec.State, batches, acked)
+			state := rec.Merged()
+			k, ok := matchPrefix(state, batches, acked)
 			if !ok {
-				t.Fatalf("recovered state %v is not the replay of any prefix covering the %d acked batches", rec.State, acked)
+				t.Fatalf("recovered state %v is not the replay of any prefix covering the %d acked batches", state, acked)
 			}
 			t.Logf("acked=%d recovered prefix=%d torn=%v", acked, k, rec.TornTail)
 		})
@@ -282,21 +280,4 @@ func mapsEqual(a, b map[string]uint64) bool {
 		}
 	}
 	return true
-}
-
-// TestSnapshotImageCanonical: equal logical states render byte-identical
-// snapshot images regardless of pair order — the import/export
-// round-trip invariant.
-func TestSnapshotImageCanonical(t *testing.T) {
-	a := []kv.Pair{{Key: "x", Val: 1}, {Key: "a", Val: 2}, {Key: "m", Val: 3}}
-	b := []kv.Pair{{Key: "m", Val: 3}, {Key: "x", Val: 1}, {Key: "a", Val: 2}}
-	ia := SnapshotImage(7, a)
-	ib := SnapshotImage(7, b)
-	if string(ia) != string(ib) {
-		t.Fatal("snapshot images differ for identical states")
-	}
-	cut, state, err := decodeSnapshot(ia)
-	if err != nil || cut != 7 || len(state) != 3 || state["m"] != 3 {
-		t.Fatalf("decode: cut=%d state=%v err=%v", cut, state, err)
-	}
 }

@@ -32,7 +32,7 @@ import (
 
 // ErrSnapshotNeeded reports that a follower's cursor points before the
 // oldest retained segment: the history was truncated by a snapshot and
-// the follower must bootstrap from a snapshot image instead.
+// the follower must bootstrap from a snapshot bundle instead.
 var ErrSnapshotNeeded = errors.New("wal: requested records truncated; snapshot needed")
 
 // tailChunkMax is the soft cap on bytes one TailReader.Next call
@@ -306,15 +306,11 @@ func EncodeFrame(p []byte, seq uint64, effects []kv.Effect) []byte {
 	return appendFrame(p, seq, effects)
 }
 
-// DecodeSnapshot parses a snapshot payload into its cut and state map —
-// the replica-bootstrap twin of recovery's snapshot load. It accepts
-// both a legacy full image and a chain bundle (see chain.go); a bundle
-// is verified whole before any of it is merged, so the caller never
-// observes a partial chain.
+// DecodeSnapshot parses a snapshot payload — a chain bundle (see
+// chain.go) — into its cut and state map: the replica-bootstrap twin of
+// recovery's snapshot load. The bundle is verified whole before any of
+// it is merged, so the caller never observes a partial chain.
 func DecodeSnapshot(img []byte) (cut uint64, state map[string]uint64, err error) {
-	if !isBundle(img) {
-		return decodeSnapshot(img)
-	}
 	cut, files, err := decodeBundle(img)
 	if err != nil {
 		return 0, nil, err
@@ -342,11 +338,10 @@ func DecodeSnapshot(img []byte) (cut uint64, state map[string]uint64, err error)
 }
 
 // NewestSnapshot returns the payload and cut of the newest loadable
-// snapshot in the log directory, for serving to a bootstrapping
-// replica: a chain becomes a bundle of its manifest plus images, a
-// legacy snapshot ships as its raw file. ok is false when no loadable
-// snapshot exists. snapMu keeps a concurrent cut's truncation from
-// removing chain files mid-assembly.
+// snapshot chain in the log directory, packaged as a bundle of its
+// manifest plus images for serving to a bootstrapping replica. ok is
+// false when no loadable chain exists. snapMu keeps a concurrent cut's
+// truncation from removing chain files mid-assembly.
 func (l *Log) NewestSnapshot() (img []byte, cut uint64, ok bool, err error) {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
@@ -354,40 +349,19 @@ func (l *Log) NewestSnapshot() (img []byte, cut uint64, ok bool, err error) {
 	if err != nil {
 		return nil, 0, false, err
 	}
-	type cand struct {
-		cut   uint64
-		chain bool
-	}
-	var cands []cand
+	var cuts []uint64
 	for _, e := range ents {
-		if seq, isSnap := parseSnapName(e.Name()); isSnap {
-			cands = append(cands, cand{cut: seq})
-		} else if c, isMani := parseManifestName(e.Name()); isMani {
-			cands = append(cands, cand{cut: c, chain: true})
+		if c, isMani := parseManifestName(e.Name()); isMani {
+			cuts = append(cuts, c)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cut != cands[j].cut {
-			return cands[i].cut > cands[j].cut
-		}
-		return cands[i].chain && !cands[j].chain
-	})
-	for _, c := range cands {
-		if c.chain {
-			b, err := l.bundleFor(c.cut)
-			if err != nil {
-				continue
-			}
-			return b, c.cut, true, nil
-		}
-		b, err := l.opts.FS.ReadFile(filepath.Join(l.opts.Dir, snapName(c.cut)))
+	sort.Slice(cuts, func(i, j int) bool { return cuts[i] > cuts[j] })
+	for _, c := range cuts {
+		b, err := l.bundleFor(c)
 		if err != nil {
 			continue
 		}
-		if _, _, err := decodeSnapshot(b); err != nil {
-			continue
-		}
-		return b, c.cut, true, nil
+		return b, c, true, nil
 	}
 	return nil, 0, false, nil
 }
@@ -427,7 +401,7 @@ func (l *Log) bundleFor(cut uint64) ([]byte, error) {
 }
 
 // InstallSnapshot replaces an open log's history with a shipped
-// snapshot payload (legacy image or chain bundle) — the replica path
+// snapshot payload (a chain bundle) — the replica path
 // for falling too far behind a primary that truncated the records the
 // replica still needs. The payload is persisted as the newest snapshot,
 // the covered segments are removed, a fresh segment adjoining the cut
@@ -449,46 +423,25 @@ func (l *Log) InstallSnapshot(img []byte) (uint64, error) {
 	return cut, l.onLogGoroutine(func() error { return l.installSnapshot(img, cut) })
 }
 
-// snapshotPayloadCut fully validates a snapshot payload — either format
-// — and returns its cut.
+// snapshotPayloadCut fully validates a snapshot payload and returns its
+// cut.
 func snapshotPayloadCut(img []byte) (uint64, error) {
-	if isBundle(img) {
-		cut, files, err := decodeBundle(img)
-		if err != nil {
-			return 0, err
-		}
-		if _, _, err := bundleChain(cut, files); err != nil {
-			return 0, err
-		}
-		return cut, nil
+	cut, files, err := decodeBundle(img)
+	if err != nil {
+		return 0, err
 	}
-	cut, _, err := decodeSnapshot(img)
-	return cut, err
+	if _, _, err := bundleChain(cut, files); err != nil {
+		return 0, err
+	}
+	return cut, nil
 }
 
-// persistSnapshotPayload writes a validated snapshot payload into dir
+// persistSnapshotPayload writes a validated snapshot bundle into dir
 // with the cut's crash-safety ordering and returns the set of snapshot
-// file names it owns. A legacy image goes through temp write + rename;
-// a bundle writes its images first (each fsynced, then the directory)
-// and commits via the manifest's temp write + rename — exactly the
+// file names it owns: the images first (each fsynced, then the
+// directory), then the manifest's temp write + rename — exactly the
 // ordering a live incremental cut uses, so every crash state recovers.
 func persistSnapshotPayload(fsys faultfs.FS, dir string, img []byte, cut uint64) (keep map[string]bool, err error) {
-	if !isBundle(img) {
-		tmp := filepath.Join(dir, "snapshot.tmp")
-		if err := fsys.WriteFile(tmp, img, 0o644); err != nil {
-			return nil, err
-		}
-		if err := fsyncFile(fsys, tmp); err != nil {
-			return nil, err
-		}
-		if err := fsys.Rename(tmp, filepath.Join(dir, snapName(cut))); err != nil {
-			return nil, err
-		}
-		if err := syncDir(fsys, dir); err != nil {
-			return nil, err
-		}
-		return map[string]bool{snapName(cut): true}, nil
-	}
 	bcut, files, err := decodeBundle(img)
 	if err != nil {
 		return nil, err
@@ -594,8 +547,8 @@ func (l *Log) installSnapshot(img []byte, cut uint64) error {
 	return nil
 }
 
-// InstallSnapshotImage validates a snapshot payload (legacy image or
-// chain bundle) and writes it into dir as canonical snapshot files so a
+// InstallSnapshotImage validates a snapshot payload (a chain bundle)
+// and writes it into dir as canonical snapshot files so a
 // subsequent Open recovers from it — the replica-bootstrap install
 // path. The caller re-opens the log afterwards.
 func InstallSnapshotImage(fsys faultfs.FS, dir string, img []byte) (cut uint64, err error) {

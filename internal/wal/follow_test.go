@@ -218,7 +218,7 @@ func TestTailReaderCancel(t *testing.T) {
 
 // TestTailReaderSnapshotNeeded pins the truncation contract: a cursor
 // older than the oldest retained segment gets ErrSnapshotNeeded, and the
-// newest snapshot image round-trips through DecodeSnapshot.
+// newest snapshot bundle round-trips through DecodeSnapshot.
 func TestTailReaderSnapshotNeeded(t *testing.T) {
 	dir := t.TempDir()
 	l0, _ := openT(t, dir, Options{Policy: SyncNever, SegmentBytes: 128})
@@ -231,14 +231,10 @@ func TestTailReaderSnapshotNeeded(t *testing.T) {
 		}
 	}
 	waitDurable(t, l0, 16)
-	if err := l0.WriteSnapshot(func() ([]kv.Pair, error) {
-		var ps []kv.Pair
-		for k, v := range replayRef(batches...) {
-			ps = append(ps, kv.Pair{Key: k, Val: v})
-		}
-		return ps, nil
-	}); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	src := newFakeSource(1)
+	src.shards[0] = replayRef(batches...)
+	if err := l0.WriteSnapshotInc(src); err != nil {
+		t.Fatalf("WriteSnapshotInc: %v", err)
 	}
 	if err := l0.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -340,7 +336,7 @@ func TestInstallSnapshot(t *testing.T) {
 	}
 	waitDurable(t, l, 1)
 
-	img := SnapshotImage(100, []kv.Pair{{Key: "a", Val: 1}, {Key: "b", Val: 2}})
+	img := testBundle(100, []kv.Pair{{Key: "a", Val: 1}, {Key: "b", Val: 2}})
 	cut, err := l.InstallSnapshot(img)
 	if err != nil {
 		t.Fatalf("InstallSnapshot: %v", err)
@@ -349,8 +345,8 @@ func TestInstallSnapshot(t *testing.T) {
 		t.Fatalf("post-install cut=%d last=%d durable=%d, want 100", cut, l.LastSeq(), l.DurableSeq())
 	}
 
-	// A stale image (cut behind the log) is refused.
-	if _, err := l.InstallSnapshot(SnapshotImage(50, nil)); err == nil {
+	// A stale bundle (cut behind the log) is refused.
+	if _, err := l.InstallSnapshot(testBundle(50, nil)); err == nil {
 		t.Fatalf("stale InstallSnapshot succeeded")
 	}
 
@@ -368,8 +364,8 @@ func TestInstallSnapshot(t *testing.T) {
 		t.Fatalf("recovery = %+v, want snapshot cut 100 last seq 101", rec)
 	}
 	want := map[string]uint64{"a": 1, "b": 2, "c": 3}
-	if !reflect.DeepEqual(rec.State, want) {
-		t.Fatalf("recovered state = %v, want %v", rec.State, want)
+	if got := rec.Merged(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state = %v, want %v", got, want)
 	}
 }
 

@@ -32,20 +32,11 @@ import (
 // path (internal/server/conn.go): records are appended into a reused
 // pending buffer with binary.AppendUvarint, no per-record allocation.
 //
-// Snapshot file (snap-<seq>.snap):
-//
-//	[8]  magic "OFSNAP1\n"
-//	[8]  cut sequence number (every record with seq <= cut is included)
-//	[8]  entry count
-//	entries: uvarint keylen, key bytes, uvarint value
-//	[4]  IEEE CRC32 of everything after the magic
-//
-// Snapshots are written to a temp file and renamed into place, so a
-// snapshot either exists completely or not at all.
+// Snapshots are chains of per-shard images under a manifest; their
+// formats are described in chain.go.
 
 const (
-	segMagic  = "OFWAL1\n\x00"
-	snapMagic = "OFSNAP1\n"
+	segMagic = "OFWAL1\n\x00"
 
 	segHeaderLen   = 16
 	frameHeaderLen = 8
@@ -146,49 +137,4 @@ func applyPayload(state map[string]uint64, tombs map[string]struct{}, payload []
 		}
 	}
 	return nil
-}
-
-// encodeSnapshot renders a complete snapshot file image for the given
-// cut sequence and pairs.
-func encodeSnapshot(cut uint64, pairs []kv.Pair) []byte {
-	p := make([]byte, 0, 24+len(pairs)*16)
-	p = append(p, snapMagic...)
-	p = binary.LittleEndian.AppendUint64(p, cut)
-	p = binary.LittleEndian.AppendUint64(p, uint64(len(pairs)))
-	for i := range pairs {
-		p = binary.AppendUvarint(p, uint64(len(pairs[i].Key)))
-		p = append(p, pairs[i].Key...)
-		p = binary.AppendUvarint(p, pairs[i].Val)
-	}
-	return binary.LittleEndian.AppendUint32(p, crc32.ChecksumIEEE(p[len(snapMagic):]))
-}
-
-// decodeSnapshot parses a snapshot file image into a fresh state map.
-func decodeSnapshot(b []byte) (cut uint64, state map[string]uint64, err error) {
-	if len(b) < len(snapMagic)+20 || string(b[:len(snapMagic)]) != snapMagic {
-		return 0, nil, fmt.Errorf("wal: not a snapshot file")
-	}
-	body, tail := b[len(snapMagic):len(b)-4], b[len(b)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return 0, nil, fmt.Errorf("wal: snapshot CRC mismatch")
-	}
-	cut = binary.LittleEndian.Uint64(body)
-	count := binary.LittleEndian.Uint64(body[8:])
-	body = body[16:]
-	state = make(map[string]uint64, count)
-	for i := uint64(0); i < count; i++ {
-		klen, n := binary.Uvarint(body)
-		if n <= 0 || uint64(len(body[n:])) < klen {
-			return 0, nil, fmt.Errorf("wal: snapshot entry cut short")
-		}
-		key := string(body[n : n+int(klen)])
-		body = body[n+int(klen):]
-		val, n := binary.Uvarint(body)
-		if n <= 0 {
-			return 0, nil, fmt.Errorf("wal: snapshot value cut short")
-		}
-		body = body[n:]
-		state[key] = val
-	}
-	return cut, state, nil
 }

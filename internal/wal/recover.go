@@ -13,14 +13,13 @@ import (
 // Recovered reports what Open reconstructed from the log directory.
 type Recovered struct {
 	// State holds the tail: every effect replayed past the snapshot
-	// cut. When recovery used a legacy full snapshot (Base == nil) it
-	// is the complete store content, as before. When recovery used a
-	// manifest chain, the snapshot part lives in Base and State holds
-	// only the replayed tail — iterate with Each or materialize with
-	// Merged instead of reading State directly.
+	// cut. The snapshot part lives in Base, so State alone is the
+	// complete store content only when no snapshot was found — iterate
+	// with Each or materialize with Merged instead of reading State
+	// directly.
 	State map[string]uint64
-	// Base holds the chain's per-shard images (nil when a legacy
-	// snapshot or no snapshot was used) in wire form (see ShardBase),
+	// Base holds the snapshot chain's per-shard images (nil when no
+	// snapshot was found) in wire form (see ShardBase),
 	// deliberately not merged into a map — loading an image is file
 	// read + CRC + one validating walk with no per-entry hash+insert
 	// or allocation, which is what keeps chain recovery bounded by
@@ -28,7 +27,7 @@ type Recovered struct {
 	// whole store. Keys overridden or deleted by the tail are shadowed
 	// via State and Tombstones.
 	Base []ShardBase
-	// Tombstones are the keys the tail deleted (chain recovery only):
+	// Tombstones are the keys the tail deleted when a chain was loaded:
 	// they may still appear in Base and must be skipped when merging.
 	Tombstones map[string]struct{}
 	// Keys is the recovered entry count — it survives a consumer
@@ -89,12 +88,15 @@ func (r *Recovered) Merged() map[string]uint64 {
 
 // Open recovers the log directory (creating it if missing) and returns
 // a Log ready to append, together with the recovered state: the latest
-// valid snapshot, with every log record after its cut replayed on top.
-// A torn final record — a crash mid-write — is truncated away; a
-// corrupt record anywhere before the tail is an error, because
+// valid snapshot chain, with every log record after its cut replayed
+// on top. A torn final record — a crash mid-write — is truncated away;
+// a corrupt record anywhere before the tail is an error, because
 // replaying past a hole would silently drop committed transactions.
-// Appending resumes in a fresh segment numbered after the last
-// existing one.
+// A whole-store snap-*.snap image, the snapshot format of earlier
+// releases, is also an error: it may hold the only copy of history the
+// log no longer carries, so skipping it could recover a silently
+// truncated store. Appending resumes in a fresh segment numbered after
+// the last existing one.
 func Open(opts Options) (*Log, Recovered, error) {
 	opts.fill()
 	rec := Recovered{State: map[string]uint64{}}
@@ -106,14 +108,8 @@ func Open(opts Options) (*Log, Recovered, error) {
 		return nil, rec, err
 	}
 
-	// cand is one snapshot candidate: a manifest chain or a legacy full
-	// image at a cut.
-	type cand struct {
-		cut   uint64
-		chain bool
-	}
 	var segIdxs []int
-	var cands []cand
+	var cuts []uint64
 	for _, e := range ents {
 		name := e.Name()
 		switch {
@@ -123,50 +119,33 @@ func Open(opts Options) (*Log, Recovered, error) {
 			opts.FS.Remove(filepath.Join(opts.Dir, name))
 		case parseSegIdx(name) >= 0:
 			segIdxs = append(segIdxs, parseSegIdx(name))
+		case isLegacySnapName(name):
+			return nil, rec, fmt.Errorf("wal: %s: whole-store snapshot images are no longer read; recover this directory with a release that reads them and let it cut a chain snapshot", filepath.Join(opts.Dir, name))
 		default:
-			if seq, ok := parseSnapName(name); ok {
-				cands = append(cands, cand{cut: seq})
-			} else if cut, ok := parseManifestName(name); ok {
-				cands = append(cands, cand{cut: cut, chain: true})
+			if cut, ok := parseManifestName(name); ok {
+				cuts = append(cuts, cut)
 			}
 		}
 	}
 	sort.Ints(segIdxs)
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cut != cands[j].cut {
-			return cands[i].cut > cands[j].cut
-		}
-		return cands[i].chain && !cands[j].chain
-	})
+	sort.Slice(cuts, func(i, j int) bool { return cuts[i] > cuts[j] })
 
-	// Newest loadable snapshot wins; an unreadable one (half-written
+	// Newest loadable chain wins; an unreadable one (half-written
 	// before an old crash, bitrot) falls back to the one before it —
 	// correctness is unaffected because the full log tail since that
-	// older cut is replayed. A manifest chain loads only whole: any
-	// missing or corrupt referenced image poisons the entire chain
-	// (loadChain), so recovery never sees a partial chain — the same
-	// all-or-nothing discipline as the structural-hole refusal below.
-	for _, c := range cands {
-		if c.chain {
-			base, err := loadChain(opts.FS, opts.Dir, c.cut)
-			if err != nil {
-				continue
-			}
-			rec.Base = base
-			rec.Tombstones = map[string]struct{}{}
-		} else {
-			img, err := opts.FS.ReadFile(filepath.Join(opts.Dir, snapName(c.cut)))
-			if err != nil {
-				continue
-			}
-			cut, state, err := decodeSnapshot(img)
-			if err != nil || cut != c.cut {
-				continue
-			}
-			rec.State = state
+	// older cut is replayed. A chain loads only whole: any missing or
+	// corrupt referenced image poisons the entire chain (loadChain), so
+	// recovery never sees a partial chain — the same all-or-nothing
+	// discipline as the structural-hole refusal below.
+	for _, cut := range cuts {
+		base, err := loadChain(opts.FS, opts.Dir, cut)
+		if err != nil {
+			continue
 		}
-		rec.SnapshotSeq = c.cut
-		rec.LastSeq = c.cut
+		rec.Base = base
+		rec.Tombstones = map[string]struct{}{}
+		rec.SnapshotSeq = cut
+		rec.LastSeq = cut
 		break
 	}
 
@@ -312,19 +291,9 @@ func parseSegIdx(name string) int {
 	return n
 }
 
-// parseSnapName extracts the cut sequence of a snapshot file name.
-func parseSnapName(name string) (uint64, bool) {
-	rest, ok := strings.CutPrefix(name, "snap-")
-	if !ok {
-		return 0, false
-	}
-	rest, ok = strings.CutSuffix(rest, ".snap")
-	if !ok {
-		return 0, false
-	}
-	seq, err := strconv.ParseUint(rest, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
+// isLegacySnapName reports whether name is a whole-store snapshot image
+// (snap-<seq>.snap) written by an earlier release. Open refuses such a
+// directory rather than recover without the image.
+func isLegacySnapName(name string) bool {
+	return strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap")
 }

@@ -7,7 +7,7 @@
 // effects ([]kv.Effect) in program order. Replaying records in log
 // order is therefore idempotent prefix-repair — re-applying a record
 // that a snapshot already covers rewrites the same values — which is
-// what makes the snapshot cut protocol simple (see Log.WriteSnapshot).
+// what makes the snapshot cut protocol simple (see Log.WriteSnapshotInc).
 //
 // Group commit: sessions do not write files. Log.Append encodes the
 // record into a shared pending buffer under a short mutex and wakes
@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -146,7 +145,7 @@ type segment struct {
 }
 
 // Log is an open write-ahead log. Append is safe for concurrent use;
-// WriteSnapshot and Close must not race each other.
+// WriteSnapshotInc and Close must not race each other.
 type Log struct {
 	opts Options
 
@@ -532,71 +531,7 @@ func (l *Log) openSegment(idx int, firstSeq uint64) error {
 	return nil
 }
 
-// WriteSnapshot persists a consistent cut of the store and truncates
-// the log's history: dump must read the store state in one read-only
-// transaction (kv.Store.Dump — the validation-free read-only commit
-// path, so snapshots run under live write traffic).
-//
-// Cut protocol: the cut sequence C is read *before* dump runs, so
-// every record with seq <= C committed before the dump's snapshot was
-// taken and is included in it. The dump may additionally contain
-// effects of records later than C; recovery replays every record with
-// seq > C on top, and because records are whole-transaction effect
-// lists applied in log order, re-applying those overlapping records
-// reproduces exactly the logged state. Segments whose records are all
-// <= C, and snapshots older than this one, are deleted.
-func (l *Log) WriteSnapshot(dump func() ([]kv.Pair, error)) error {
-	l.mu.Lock()
-	cut := l.lastSeq
-	l.mu.Unlock()
-	return l.WriteSnapshotCut(cut, dump)
-}
-
-// WriteSnapshotCut is WriteSnapshot with an explicit cut sequence, for
-// callers whose applied state may trail the log tail: a replication
-// replica appends shipped records to its log *before* applying them to
-// the store, so its dump is only guaranteed to cover records up to its
-// last applied seq — using lastSeq there would cut away records the
-// dump does not contain. The cut must not exceed lastSeq.
-func (l *Log) WriteSnapshotCut(cut uint64, dump func() ([]kv.Pair, error)) error {
-	l.snapMu.Lock()
-	defer l.snapMu.Unlock()
-	l.mu.Lock()
-	err := l.failed
-	if err == nil && cut > l.lastSeq {
-		err = fmt.Errorf("wal: snapshot cut %d beyond last seq %d", cut, l.lastSeq)
-	}
-	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	pairs, err := dump()
-	if err != nil {
-		return err
-	}
-	img := SnapshotImage(cut, pairs)
-	tmp := filepath.Join(l.opts.Dir, "snapshot.tmp")
-	if err := l.opts.FS.WriteFile(tmp, img, 0o644); err != nil {
-		return err
-	}
-	if err := fsyncFile(l.opts.FS, tmp); err != nil {
-		return err
-	}
-	if err := l.opts.FS.Rename(tmp, filepath.Join(l.opts.Dir, snapName(cut))); err != nil {
-		return err
-	}
-	if err := syncDir(l.opts.FS, l.opts.Dir); err != nil {
-		return err
-	}
-	// A full image supersedes any chain; the next incremental cut
-	// starts a fresh chain with a full cut.
-	l.chainCut, l.chainImgs, l.chainEpochs = 0, nil, nil
-	l.truncateTo(cut, map[string]bool{snapName(cut): true})
-	return nil
-}
-
-func segName(idx int) string     { return fmt.Sprintf("wal-%08d.seg", idx) }
-func snapName(seq uint64) string { return fmt.Sprintf("snap-%020d.snap", seq) }
+func segName(idx int) string { return fmt.Sprintf("wal-%08d.seg", idx) }
 
 func fsyncFile(fsys faultfs.FS, path string) error {
 	f, err := fsys.Open(path)
@@ -619,14 +554,4 @@ func syncDir(fsys faultfs.FS, dir string) error {
 	err = f.Sync()
 	f.Close()
 	return err
-}
-
-// SnapshotImage renders the canonical snapshot file image for a cut and
-// a set of pairs: entries are sorted by key (pairs is sorted in place),
-// so two stores holding the same logical state produce byte-identical
-// images regardless of key intern order. The campaign's import/export
-// round-trip check relies on this.
-func SnapshotImage(cut uint64, pairs []kv.Pair) []byte {
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-	return encodeSnapshot(cut, pairs)
 }

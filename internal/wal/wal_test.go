@@ -192,16 +192,10 @@ func TestSegmentRotationAndSnapshotTruncation(t *testing.T) {
 	if st := l.Stats(); st.Segments < 3 {
 		t.Fatalf("only %d segments after 64 records at 256-byte segments — rotation broken", st.Segments)
 	}
-	state := replayRef(batches...)
-	dump := func() ([]kv.Pair, error) {
-		var ps []kv.Pair
-		for k, v := range state {
-			ps = append(ps, kv.Pair{Key: k, Val: v})
-		}
-		return ps, nil
-	}
-	if err := l.WriteSnapshot(dump); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	src := newFakeSource(1)
+	src.shards[0] = replayRef(batches...)
+	if err := l.WriteSnapshotInc(src); err != nil {
+		t.Fatalf("WriteSnapshotInc: %v", err)
 	}
 	st := l.Stats()
 	if st.SnapshotSeq != 64 {
@@ -221,8 +215,8 @@ func TestSegmentRotationAndSnapshotTruncation(t *testing.T) {
 	// ...and recovery = snapshot + tail replay.
 	_, rec := openT(t, dir, Options{})
 	want := replayRef(append(batches, after)...)
-	if !reflect.DeepEqual(rec.State, want) {
-		t.Fatalf("recovered %v, want %v", rec.State, want)
+	if got := rec.Merged(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
 	}
 	if rec.SnapshotSeq != 64 {
 		t.Fatalf("recovery used snapshot cut %d, want 64", rec.SnapshotSeq)
@@ -352,14 +346,9 @@ func TestRecoverRefusesSnapshotGap(t *testing.T) {
 	// truncation actually deletes covered segments — the precondition
 	// for the gap this test is about.
 	waitDurable(t, l, 32)
-	state := replayRef(batches...)
-	if err := l.WriteSnapshot(func() ([]kv.Pair, error) {
-		var ps []kv.Pair
-		for k, v := range state {
-			ps = append(ps, kv.Pair{Key: k, Val: v})
-		}
-		return ps, nil
-	}); err != nil {
+	src := newFakeSource(1)
+	src.shards[0] = replayRef(batches...)
+	if err := l.WriteSnapshotInc(src); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
@@ -375,11 +364,13 @@ func TestRecoverRefusesSnapshotGap(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if err != nil || len(snaps) != 1 {
-		t.Fatalf("want exactly 1 snapshot, got %v (err=%v)", snaps, err)
+	// Losing the manifest loses the whole chain: its images alone are
+	// never a snapshot.
+	manifests, err := filepath.Glob(filepath.Join(dir, "manifest-*.mf"))
+	if err != nil || len(manifests) != 1 {
+		t.Fatalf("want exactly 1 manifest, got %v (err=%v)", manifests, err)
 	}
-	if err := os.Remove(snaps[0]); err != nil {
+	if err := os.Remove(manifests[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Open(Options{Dir: dir}); err == nil {
